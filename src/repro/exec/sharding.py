@@ -174,7 +174,7 @@ def edge_range_bounds(nnz: int, n_workers: int) -> np.ndarray:
     SDDMM output is per-edge, so *any* disjoint edge split is safe; when
     the COO is not CSR-ordered the row blocks of the sorted view do not
     map to the caller's edge order, and a plain range split preserves
-    bit-identity with the serial gathered einsum.
+    bit-identity with the serial blocked feature-ascending dot.
     """
     n = max(1, int(n_workers))
     return (np.arange(n + 1, dtype=np.int64) * nnz) // n

@@ -23,18 +23,6 @@ from repro.kernels.gnnone.stage2 import record_stage2_sddmm
 from repro.sparse.coo import COOMatrix
 
 
-def gathered_dot_sddmm(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-edge dot products computed the kernel's way.
-
-    Each thread group's slice walks its NZEs: gather the two feature
-    rows, elementwise-multiply, tree-reduce.  Vectorized, that is a
-    row-gathered einsum — numerically identical to the per-group loops.
-    """
-    if A.nnz == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.einsum("ef,ef->e", X[A.rows], Y[A.cols])
-
-
 class GnnOneSDDMM(SDDMMKernel):
     """The paper's unified SDDMM kernel (COO format)."""
 
@@ -51,9 +39,9 @@ class GnnOneSDDMM(SDDMMKernel):
     def compute(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         # Numerics follow the caller's edge order (the trace uses the
         # CSR-ordered view, which is cost-equivalent).  The engine
-        # shards the gathered dot over disjoint NZE ranges when
+        # shards the feature-ascending dot over disjoint NZE ranges when
         # REPRO_EXEC_WORKERS > 1; per-edge outputs keep it bit-identical
-        # to gathered_dot_sddmm.
+        # to the serial sweep.
         from repro.exec import get_engine
 
         return get_engine().sddmm(A, X, Y)

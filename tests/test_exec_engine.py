@@ -3,6 +3,7 @@
 import contextlib
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,12 @@ from repro.exec import (
     row_shard_plan,
     set_exec_workers,
 )
+from repro.exec import numerics
 from repro.exec.numerics import (
+    SDDMM_CHUNK,
     csr_spmm_serial,
     gat_edge_softmax_serial,
+    sddmm_block,
     sddmm_serial,
 )
 from repro.kernels.gnnone import GnnOneSDDMM, GnnOneSpMM, GnnOneSpMV, segment_sum_spmm
@@ -41,6 +45,32 @@ from repro.sparse.datasets import load_dataset
 from repro.sparse.partition import nnz_balanced_row_blocks
 
 BACKENDS = ["thread", "process", "compiled"]
+
+
+def _gathered_dot(Xg: np.ndarray, Yg: np.ndarray) -> np.ndarray:
+    """Row-wise dot of two gathered (n, F) operands, feature-ascending.
+
+    The order oracle: every edge starts at 0.0 and adds its products in
+    ascending ``k`` over the full gather — the sequence every backend
+    (and a scalar ``for k`` loop) must reproduce bit-for-bit.
+    """
+    out = np.zeros(Xg.shape[0], dtype=np.result_type(Xg.dtype, Yg.dtype, np.float64))
+    for k in range(Xg.shape[1]):
+        out += Xg[:, k] * Yg[:, k]
+    return out
+
+
+def oracle_sddmm(coo: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return _gathered_dot(np.asarray(X)[coo.rows], np.asarray(Y)[coo.cols])
+
+
+def random_coo(n_rows: int, n_cols: int, nnz: int, rng, *, csr: bool = True) -> COOMatrix:
+    """Exactly ``nnz`` random edges (duplicates kept), optionally shuffled."""
+    rows = rng.integers(0, n_rows, nnz)
+    cols = rng.integers(0, n_cols, nnz)
+    if csr:
+        return COOMatrix.from_edges(n_rows, n_cols, rows, cols, deduplicate=False)
+    return COOMatrix(n_rows, n_cols, rows, cols)
 
 
 @pytest.fixture(autouse=True)
@@ -146,6 +176,91 @@ class TestBitIdentity:
         serial = csr_spmm_serial(coo, vals, X)
         with exec_workers(4, min_parallel_nnz=0):
             np.testing.assert_array_equal(get_engine().spmm(coo, vals, X), serial)
+
+
+class TestSddmmOrder:
+    """The blocked SDDMM kernel equals the full-gather oracle bit-for-bit."""
+
+    @pytest.mark.parametrize("F", [1, 3, 16, 41])
+    @pytest.mark.parametrize(
+        "nnz",
+        [0, SDDMM_CHUNK - 1, SDDMM_CHUNK, SDDMM_CHUNK + 1, 3 * SDDMM_CHUNK + 5],
+    )
+    def test_serial_across_chunk_boundaries(self, nnz, F):
+        rng = np.random.default_rng(nnz * 64 + F)
+        coo = random_coo(300, 200, nnz, rng)
+        X = rng.standard_normal((300, F))
+        Y = rng.standard_normal((200, F))
+        out = sddmm_serial(coo, X, Y)
+        assert out.shape == (nnz,) and out.dtype == np.float64
+        np.testing.assert_array_equal(out, oracle_sddmm(coo, X, Y))
+
+    @pytest.mark.parametrize("chunk", [1, 4, 7, 64])
+    @pytest.mark.parametrize("csr", [True, False])
+    def test_small_chunks(self, monkeypatch, chunk, csr):
+        """Shrunken chunks put many boundaries inside a small graph."""
+        monkeypatch.setattr(numerics, "SDDMM_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        coo = random_coo(13, 29, 157, rng, csr=csr)
+        assert coo.is_csr_ordered() == csr
+        X = rng.standard_normal((13, 5))
+        Y = rng.standard_normal((29, 5))
+        np.testing.assert_array_equal(sddmm_serial(coo, X, Y), oracle_sddmm(coo, X, Y))
+
+    def test_non_contiguous_operands(self, monkeypatch):
+        monkeypatch.setattr(numerics, "SDDMM_CHUNK", 16)
+        rng = np.random.default_rng(3)
+        coo = random_coo(40, 25, 300, rng, csr=False)
+        X = np.asfortranarray(rng.standard_normal((40, 6)))
+        Y = rng.standard_normal((50, 12))[::2, ::2]  # sliced: both strides off
+        assert not X.flags.c_contiguous and not Y.flags.c_contiguous
+        np.testing.assert_array_equal(sddmm_serial(coo, X, Y), oracle_sddmm(coo, X, Y))
+
+    def test_mixed_dtypes_match_oracle(self):
+        rng = np.random.default_rng(4)
+        coo = random_coo(20, 20, 200, rng)
+        X = rng.standard_normal((20, 7)).astype(np.float32)
+        Y = rng.standard_normal((20, 7))
+        for a, b in ((X, X), (X, Y), (Y, X)):
+            out = sddmm_serial(coo, a, b)
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, oracle_sddmm(coo, a, b))
+
+    def test_out_of_range_operand_raises(self):
+        coo = COOMatrix(4, 4, np.array([0, 3]), np.array([1, 2]))
+        with pytest.raises(IndexError):
+            sddmm_serial(coo, np.ones((3, 2)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize(
+        "start,end", [(0, 157), (3, 20), (6, 8), (7, 7), (13, 150), (140, 157)]
+    )
+    def test_block_ranges_straddle_chunks(self, monkeypatch, start, end):
+        monkeypatch.setattr(numerics, "SDDMM_CHUNK", 7)
+        rng = np.random.default_rng(end)
+        coo = random_coo(30, 30, 157, rng, csr=False)
+        X = rng.standard_normal((30, 4))
+        Y = np.asfortranarray(rng.standard_normal((30, 4)))
+        out = np.full(coo.nnz, np.nan)
+        sddmm_block(coo.rows, coo.cols, X, Y, out, start, end)
+        np.testing.assert_array_equal(
+            out[start:end], oracle_sddmm(coo, X, Y)[start:end]
+        )
+        assert np.isnan(out[:start]).all() and np.isnan(out[end:]).all()
+
+    def test_peak_memory_is_not_a_full_gather(self):
+        """Peak allocation stays O(nnz + chunk*F), far below 2*nnz*F*8."""
+        F, nnz = 32, 40 * SDDMM_CHUNK
+        rng = np.random.default_rng(5)
+        coo = random_coo(2000, 2000, nnz, rng)
+        X = rng.standard_normal((2000, F))
+        Y = rng.standard_normal((2000, F))
+        tracemalloc.start()
+        try:
+            sddmm_serial(coo, X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * nnz * 8, f"peak {peak} B for nnz={nnz}"
 
 
 class TestShardPlans:
@@ -513,9 +628,9 @@ class TestBackendParity:
         coo, F, rng = data
         X = rng.standard_normal((coo.num_rows, F))
         Y = rng.standard_normal((coo.num_cols, F))
-        np.testing.assert_array_equal(
-            backend_engine.sddmm(coo, X, Y), sddmm_serial(coo, X, Y)
-        )
+        out = backend_engine.sddmm(coo, X, Y)
+        np.testing.assert_array_equal(out, sddmm_serial(coo, X, Y))
+        np.testing.assert_array_equal(out, oracle_sddmm(coo, X, Y))
 
     @given(data=graph_and_dim())
     @settings(max_examples=15, deadline=None)
@@ -552,8 +667,21 @@ class TestBackendParity:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((6, 8))
         Y = rng.standard_normal((6, 8))
+        out = backend_engine.sddmm(coo, X, Y)
+        np.testing.assert_array_equal(out, sddmm_serial(coo, X, Y))
+        np.testing.assert_array_equal(out, oracle_sddmm(coo, X, Y))
+
+    @pytest.mark.parametrize("csr", [True, False])
+    def test_multi_chunk_sddmm_matches_oracle(self, backend_engine, csr):
+        """Every shard spans several chunks (process workers run the real
+        chunk size, so the graph is sized for it, not monkeypatched)."""
+        rng = np.random.default_rng(31)
+        nnz = backend_engine.workers * (2 * SDDMM_CHUNK + 123)
+        coo = random_coo(700, 500, nnz, rng, csr=csr)
+        X = rng.standard_normal((700, 5))
+        Y = np.asfortranarray(rng.standard_normal((500, 5)))
         np.testing.assert_array_equal(
-            backend_engine.sddmm(coo, X, Y), sddmm_serial(coo, X, Y)
+            backend_engine.sddmm(coo, X, Y), oracle_sddmm(coo, X, Y)
         )
 
     def test_gat_alpha_parity(self, backend_engine, medium_graph):
