@@ -36,7 +36,7 @@ from repro.kernels.registry import sddmm_kernel, spmm_kernel
 from repro.nn.memory import USABLE_FRACTION
 from repro.bench.report import ExperimentResult
 from repro.sparse.coo import COOMatrix
-from repro.sparse.datasets import DatasetSpec, get_spec, load_dataset
+from repro.sparse.datasets import QUICK_KEYS, DatasetSpec, get_spec, load_dataset
 
 #: Feature lengths the paper sweeps in Figs 3-4.
 FEATURE_LENGTHS = (6, 16, 32, 64)
@@ -125,7 +125,10 @@ def kernel_fits(kernel, spec: DatasetSpec, feature_length: int, device: DeviceSp
     return needed <= USABLE_FRACTION * device.memory_bytes
 
 
-@lru_cache(maxsize=8)
+# Sized to one quick grid (datasets x feature lengths, ~91 MB): Fig-4
+# then reuses every operand set Fig-3 just built instead of regenerating
+# each one after the LRU cycled it out.
+@lru_cache(maxsize=len(QUICK_KEYS) * len(FEATURE_LENGTHS))
 def sweep_operands(
     dataset_key: str, feature_length: int, seed: int = 0
 ) -> tuple[COOMatrix, np.ndarray, np.ndarray, np.ndarray]:

@@ -23,21 +23,26 @@ def conflict_degree(target_rows: np.ndarray, window: int = 256) -> float:
     window size for a single hot row (e.g. a celebrity vertex in a
     power-law graph).
     """
-    rows = np.asarray(target_rows)
+    rows = np.asarray(target_rows, dtype=np.int64).ravel()
     n = rows.size
     if n == 0:
         return 1.0
-    degrees = np.empty(0, dtype=np.float64)
-    chunks = []
-    for start in range(0, n, window):
-        chunk = rows[start : start + window]
-        _, counts = np.unique(chunk, return_counts=True)
-        # Each atomic in a group of size c waits behind c-1 others on
-        # average /2, but we report the raw mean group size; the cost
-        # model applies its own per-extra-colliding-op charge.
-        chunks.append(float((counts * counts).sum() / counts.sum()))
-    degrees = np.asarray(chunks)
-    return float(degrees.mean()) if degrees.size else 1.0
+    # One sort of the (window, row) key finds every window's collision
+    # groups at once; runs of equal keys are the groups.  Each atomic in
+    # a group of size c waits behind c-1 others on average /2, but we
+    # report the raw mean group size sum(c*c) / sum(c) per window; the
+    # cost model applies its own per-extra-colliding-op charge.
+    lo = rows.min()
+    span = rows.max() - lo + 1
+    keys = np.sort(np.arange(n, dtype=np.int64) // window * span + (rows - lo))
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    group_win = keys[starts] // span
+    win_starts = np.flatnonzero(np.r_[True, group_win[1:] != group_win[:-1]])
+    degrees = np.add.reduceat(counts * counts, win_starts) / np.add.reduceat(
+        counts, win_starts
+    )
+    return float(degrees.mean())
 
 
 def atomics_per_warp(

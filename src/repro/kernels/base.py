@@ -19,22 +19,26 @@ Figs 3/4/7 reproduce even though the compute runs on scaled graphs.
 Each invocation is two independent halves:
 
 * the **numerics** (:meth:`compute`) — depends on the operand values;
-* the **structural simulation** (``execute``'s trace + the cost model)
-  — depends only on (topology, kernel config, feature length, device).
+* the **structural simulation** (``execute``: trace recording, then the
+  cost model) — depends only on (topology, kernel config, feature
+  length, device).
 
 ``__call__`` exploits the split through the structural plan cache
 (:mod:`repro.core.plancache`): a warm launch replays the cached
-:class:`CostReport`/trace and runs only the numerics, skipping Stage-1
-planning, scheduling, trace recording and ``estimate_cost`` entirely.
-The default :meth:`compute` routes through the sharded execution engine
-(:mod:`repro.exec`) — serial and bit-identical to the reference
-numerics at the default ``REPRO_EXEC_WORKERS=1``, executed as
-concurrent row blocks on multi-core hosts — so baselines get the
-replay-cost/recompute-numerics treatment without per-kernel code.  The
-engine in turn dispatches to the numerics backend selected by
-``REPRO_EXEC_BACKEND`` (thread pool, shared-memory process pool, or
-numba-compiled kernels); kernels never see the difference because every
-backend is bit-identical by construction.
+:class:`CostReport`/trace, skipping Stage-1 planning, scheduling, trace
+recording and ``estimate_cost`` entirely.  Cold and warm launches run
+the same numerics — ``compute`` once per launch, after the cache branch
+— so a kernel's cold and warm outputs are bit-identical.  The default
+:meth:`compute` routes through the sharded execution engine
+(:mod:`repro.exec`) — serial at the default ``REPRO_EXEC_WORKERS=1``,
+executed as concurrent row blocks on multi-core hosts — so baselines
+need no numerics of their own.  The engine in turn dispatches to the
+numerics backend selected by ``REPRO_EXEC_BACKEND`` (thread pool,
+shared-memory process pool, or numba-compiled kernels); kernels never
+see the difference because every backend is bit-identical by
+construction.  ``reference_*`` below are the independent ground truth
+the tests and output checks compare against; no kernel computes with
+them.
 """
 
 from __future__ import annotations
@@ -169,6 +173,29 @@ class KernelResult:
         return self.cost.time_us
 
 
+def _launch(kernel, A: COOMatrix, operands: tuple, f: int, dev: DeviceSpec, sp) -> KernelResult:
+    """Plan-cache lookup, structural half on a miss, then the numerics.
+
+    ``compute`` runs exactly once, after the cache branch, so a hit and
+    a miss produce the same output; only the trace and its cost differ
+    in where they come from.
+    """
+    key, hit = _cache_lookup(kernel, A, f, dev)
+    if hit is not None:
+        cost, trace, prep = hit.cost, hit.trace, hit.preprocess_seconds
+    else:
+        trace, prep = kernel.execute(A, *operands, dev)
+        t0 = time.perf_counter()
+        cost = estimate_cost(trace, dev)
+        sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
+        if key is not None:
+            _cache_store(key, cost, trace, prep)
+    result = KernelResult(kernel.compute(A, *operands), cost, trace, prep)
+    sp.set(cached=hit is not None)
+    _finish_kernel_span(sp, kernel.kind, result)
+    return result
+
+
 def validate_spmm_inputs(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> None:
     edge_values = np.asarray(edge_values)
     X = np.asarray(X)
@@ -235,33 +262,21 @@ class SpMMKernel(KernelCacheMixin, abc.ABC):
         ) as sp:
             if obs.tracing_enabled():
                 sp.set(**launch_span_attrs(self, A, dev))
-            key, hit = _cache_lookup(self, A, X.shape[1], dev)
-            if hit is not None:
-                result = KernelResult(
-                    self.compute(A, edge_values, X), hit.cost, hit.trace,
-                    hit.preprocess_seconds,
-                )
-            else:
-                out, trace, prep = self.execute(A, edge_values, X, dev)
-                t0 = time.perf_counter()
-                cost = estimate_cost(trace, dev)
-                sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
-                result = KernelResult(out, cost, trace, prep)
-                if key is not None:
-                    _cache_store(key, cost, trace, prep)
-            sp.set(cached=hit is not None)
-            _finish_kernel_span(sp, "spmm", result)
-        return result
+            return _launch(self, A, (edge_values, X), X.shape[1], dev, sp)
 
     def compute(self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work) — the warm-cache path."""
+        """Pure numerics (no trace/cost work), run by every launch."""
         return get_engine().spmm(A, edge_values, X)
 
     @abc.abstractmethod
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        """Return (Y, trace, preprocess_seconds)."""
+    ) -> tuple[KernelTrace, float]:
+        """Structural half of a cold launch: return (trace, preprocess_seconds).
+
+        Reads the operands' shapes only; the output comes from
+        :meth:`compute`.
+        """
 
     @abc.abstractmethod
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
@@ -294,32 +309,17 @@ class SDDMMKernel(KernelCacheMixin, abc.ABC):
         ) as sp:
             if obs.tracing_enabled():
                 sp.set(**launch_span_attrs(self, A, dev))
-            key, hit = _cache_lookup(self, A, X.shape[1], dev)
-            if hit is not None:
-                result = KernelResult(
-                    self.compute(A, X, Y), hit.cost, hit.trace, hit.preprocess_seconds
-                )
-            else:
-                out, trace, prep = self.execute(A, X, Y, dev)
-                t0 = time.perf_counter()
-                cost = estimate_cost(trace, dev)
-                sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
-                result = KernelResult(out, cost, trace, prep)
-                if key is not None:
-                    _cache_store(key, cost, trace, prep)
-            sp.set(cached=hit is not None)
-            _finish_kernel_span(sp, "sddmm", result)
-        return result
+            return _launch(self, A, (X, Y), X.shape[1], dev, sp)
 
     def compute(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work) — the warm-cache path."""
+        """Pure numerics (no trace/cost work), run by every launch."""
         return get_engine().sddmm(A, X, Y)
 
     @abc.abstractmethod
     def execute(
         self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        """Return (W, trace, preprocess_seconds)."""
+    ) -> tuple[KernelTrace, float]:
+        """Structural half of a cold launch: return (trace, preprocess_seconds)."""
 
     @abc.abstractmethod
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
@@ -352,33 +352,17 @@ class SpMVKernel(KernelCacheMixin, abc.ABC):
         ) as sp:
             if obs.tracing_enabled():
                 sp.set(**launch_span_attrs(self, A, dev))
-            key, hit = _cache_lookup(self, A, 1, dev)
-            if hit is not None:
-                result = KernelResult(
-                    self.compute(A, edge_values, x), hit.cost, hit.trace,
-                    hit.preprocess_seconds,
-                )
-            else:
-                out, trace, prep = self.execute(A, edge_values, x, dev)
-                t0 = time.perf_counter()
-                cost = estimate_cost(trace, dev)
-                sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
-                result = KernelResult(out, cost, trace, prep)
-                if key is not None:
-                    _cache_store(key, cost, trace, prep)
-            sp.set(cached=hit is not None)
-            _finish_kernel_span(sp, "spmv", result)
-        return result
+            return _launch(self, A, (edge_values, x), 1, dev, sp)
 
     def compute(self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work) — the warm-cache path."""
+        """Pure numerics (no trace/cost work), run by every launch."""
         return get_engine().spmv(A, edge_values, x)
 
     @abc.abstractmethod
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        ...
+    ) -> tuple[KernelTrace, float]:
+        """Structural half of a cold launch: return (trace, preprocess_seconds)."""
 
     @abc.abstractmethod
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
@@ -386,7 +370,7 @@ class SpMVKernel(KernelCacheMixin, abc.ABC):
 
 
 def reference_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Ground-truth SpMM via scipy (used by baselines and tests)."""
+    """Ground-truth SpMM via scipy (tests and output checks; no kernel uses it)."""
     return A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr() @ np.asarray(X)
 
 
@@ -397,6 +381,7 @@ def reference_sddmm(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def reference_spmv(A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Ground-truth SpMV via scipy."""
     return A.to_scipy(np.asarray(edge_values, dtype=np.float64)).tocsr() @ np.asarray(x)
 
 

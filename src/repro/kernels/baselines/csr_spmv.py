@@ -15,7 +15,7 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import streaming_sectors, unique_per_warp
 from repro.gpusim.trace import KernelTrace, LaunchConfig
-from repro.kernels.base import SpMVKernel, reference_spmv
+from repro.kernels.base import SpMVKernel
 from repro.sparse.coo import COOMatrix
 
 
@@ -27,7 +27,7 @@ class CsrScalarSpMV(SpMVKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    ) -> tuple[KernelTrace, float]:
         csr = A.to_csr()
         deg = csr.row_degrees().astype(np.float64)
         # 32 rows per warp; the warp's trip count is its longest row and
@@ -51,7 +51,7 @@ class CsrScalarSpMV(SpMVKernel):
         )
         trace.add_phase("y_store", "store", sectors=np.ceil(
             np.bincount(warp_of_row, minlength=n_warps).astype(np.float64) / 8.0))
-        return reference_spmv(A, edge_values, x), trace, 0.0
+        return trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 4 * num_edges + 4 * (num_vertices + 1) + 4 * num_edges + 8 * num_vertices
@@ -65,7 +65,7 @@ class CsrVectorSpMV(SpMVKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    ) -> tuple[KernelTrace, float]:
         csr = A.to_csr()
         deg = csr.row_degrees().astype(np.float64)
         n_warps = max(1, csr.num_rows)
@@ -88,7 +88,7 @@ class CsrVectorSpMV(SpMVKernel):
             "warp_reduce", "reduce", shuffles=5.0, barriers=0.0,
         )
         trace.add_phase("y_store", "store", sectors=np.full(n_warps, 1.0) / 8.0)
-        return reference_spmv(A, edge_values, x), trace, 0.0
+        return trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 4 * num_edges + 4 * (num_vertices + 1) + 4 * num_edges + 8 * num_vertices
@@ -107,7 +107,7 @@ class BinnedSpMV(SpMVKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    ) -> tuple[KernelTrace, float]:
         from repro.sparse.formats.binning import build_degree_bins
 
         csr = A.to_csr()
@@ -144,8 +144,7 @@ class BinnedSpMV(SpMVKernel):
             flops=2.0 * A.nnz / n_warps,
         )
         trace.add_phase("y_store", "store", sectors=0.2)
-        out = reference_spmv(A, edge_values, x)
-        return out, trace, bins.preprocess_seconds
+        return trace, bins.preprocess_seconds
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

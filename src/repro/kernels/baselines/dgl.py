@@ -21,7 +21,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import feature_row_sectors
 from repro.gpusim.trace import KernelTrace, LaunchConfig
 from repro.gpusim.warp import feature_parallel_shape
-from repro.kernels.base import SDDMMKernel, SpMMKernel, reference_sddmm
+from repro.kernels.base import SDDMMKernel, SpMMKernel
 from repro.kernels.baselines.cusparse import CuSparseSpMM
 from repro.sparse.coo import COOMatrix
 
@@ -32,7 +32,7 @@ class DGLSDDMM(SDDMMKernel):
 
     def execute(
         self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    ) -> tuple[KernelTrace, float]:
         F = X.shape[1]
         shape = feature_parallel_shape(F)
         ftiles = max(1, -(-F // 32))
@@ -65,7 +65,7 @@ class DGLSDDMM(SDDMMKernel):
             barriers=1.0,
         )
         trace.add_phase("edge_store", "store", sectors=1.0, atomics=float(ftiles > 1))
-        return reference_sddmm(A, X, Y), trace, 0.0
+        return trace, 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         # DGL keeps COO (for SDDMM) and CSR (for SpMM) simultaneously.
@@ -84,10 +84,10 @@ class DGLSpMM(SpMMKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        out, trace, prep = self._inner.execute(A, edge_values, X, device)
+    ) -> tuple[KernelTrace, float]:
+        trace, prep = self._inner.execute(A, edge_values, X, device)
         trace.kernel_name = self.name
-        return out, trace, prep
+        return trace, prep
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         dual_format = 8 * num_edges + (4 * num_edges + 4 * (num_vertices + 1))

@@ -22,7 +22,7 @@ from repro.gpusim.atomics import conflict_degree
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import feature_row_sectors, streaming_sectors
 from repro.gpusim.trace import KernelTrace, LaunchConfig
-from repro.kernels.base import SpMMKernel, reference_spmm
+from repro.kernels.base import SpMMKernel
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats.neighbor_group import NeighborGroupFormat, build_neighbor_groups
 
@@ -97,7 +97,7 @@ class GNNAdvisorSpMM(SpMMKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    ) -> tuple[KernelTrace, float]:
         fmt = build_neighbor_groups(A.to_csr(), group_size=32)
         trace = neighbor_group_spmm_trace(
             self.name,
@@ -108,7 +108,7 @@ class GNNAdvisorSpMM(SpMMKernel):
             metadata_broadcast_barriers=1.0,
             ilp=3.0,
         )
-        return reference_spmm(A, edge_values, X), trace, fmt.preprocess_seconds
+        return trace, fmt.preprocess_seconds
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

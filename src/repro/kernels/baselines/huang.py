@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import KernelTrace
-from repro.kernels.base import SpMMKernel, reference_spmm
+from repro.kernels.base import SpMMKernel
 from repro.kernels.baselines.gnnadvisor import neighbor_group_spmm_trace
 from repro.sparse.coo import COOMatrix
 from repro.sparse.formats.neighbor_group import build_neighbor_groups
@@ -24,7 +24,7 @@ class HuangSpMM(SpMMKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
+    ) -> tuple[KernelTrace, float]:
         fmt = build_neighbor_groups(A.to_csr(), group_size=32)
         trace = neighbor_group_spmm_trace(
             self.name,
@@ -35,7 +35,7 @@ class HuangSpMM(SpMMKernel):
             metadata_broadcast_barriers=0.5,  # fused into the staging sync
             ilp=8.0,  # vectorized/unrolled feature loads
         )
-        return reference_spmm(A, edge_values, X), trace, fmt.preprocess_seconds
+        return trace, fmt.preprocess_seconds
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         csr = 4 * num_edges + 4 * (num_vertices + 1)

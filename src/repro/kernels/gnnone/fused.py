@@ -92,13 +92,13 @@ class GnnOneFusedGATLayer:
         F = X.shape[1]
         key, hit = _cache_lookup(self, A, F, dev)
         if hit is not None:
-            _, Y = fused_gat_attention_numerics(coo, el, er, X)
-            return KernelResult(Y, hit.cost, hit.trace, hit.preprocess_seconds)
-        trace = self.simulate(coo, F, dev)
+            cost, trace = hit.cost, hit.trace
+        else:
+            trace = self.simulate(coo, F, dev)
+            cost = estimate_cost(trace, dev)
+            if key is not None:
+                _cache_store(key, cost, trace, 0.0)
         _, Y = fused_gat_attention_numerics(coo, el, er, X)
-        cost = estimate_cost(trace, dev)
-        if key is not None:
-            _cache_store(key, cost, trace, 0.0)
         return KernelResult(Y, cost, trace, 0.0)
 
     def simulate(self, coo: COOMatrix, F: int, dev: DeviceSpec) -> KernelTrace:

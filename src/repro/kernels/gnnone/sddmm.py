@@ -36,16 +36,6 @@ class GnnOneSDDMM(SDDMMKernel):
         # The display name omits ablation switches; key on the full config.
         return (type(self).__qualname__, self.config)
 
-    def compute(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        # Numerics follow the caller's edge order (the trace uses the
-        # CSR-ordered view, which is cost-equivalent).  The engine
-        # shards the feature-ascending dot over disjoint NZE ranges when
-        # REPRO_EXEC_WORKERS > 1; per-edge outputs keep it bit-identical
-        # to the serial sweep.
-        from repro.exec import get_engine
-
-        return get_engine().sddmm(A, X, Y)
-
     def simulate(self, A: COOMatrix, F: int, device: DeviceSpec) -> KernelTrace:
         """Structural half: Stage-1 plan, schedule, and trace recording."""
         cfg = self.config
@@ -80,9 +70,8 @@ class GnnOneSDDMM(SDDMMKernel):
 
     def execute(
         self, A: COOMatrix, X: np.ndarray, Y: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        trace = self.simulate(A, X.shape[1], device)
-        return self.compute(A, X, Y), trace, 0.0
+    ) -> tuple[KernelTrace, float]:
+        return self.simulate(A, X.shape[1], device), 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         coo_topology = 8 * num_edges

@@ -48,7 +48,7 @@ def segment_sum_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np
 
 
 def csr_replay_spmm(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Warm-path numerics over the memoized CSR structural view.
+    """SpMM numerics over the memoized CSR structural view.
 
     Same per-row, ascending-column accumulation as
     :func:`segment_sum_spmm`, but runs in fused scipy C loops instead of
@@ -77,9 +77,6 @@ class GnnOneSpMM(SpMMKernel):
     def cache_token(self):
         # The display name omits ablation switches; key on the full config.
         return (type(self).__qualname__, self.config)
-
-    def compute(self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return csr_replay_spmm(A, edge_values, X)
 
     def simulate(self, A: COOMatrix, F: int, device: DeviceSpec) -> KernelTrace:
         """Structural half: Stage-1 plan, schedule, and trace recording."""
@@ -113,9 +110,8 @@ class GnnOneSpMM(SpMMKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        trace = self.simulate(A, X.shape[1], device)
-        return self.compute(A, edge_values, X), trace, 0.0
+    ) -> tuple[KernelTrace, float]:
+        return self.simulate(A, X.shape[1], device), 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         coo_topology = 8 * num_edges

@@ -30,15 +30,6 @@ class GnnOneSpMV(SpMVKernel):
     #: NZEs each thread accumulates locally (Merrill-style grain).
     items_per_thread = 4
 
-    def compute(self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # Per-row sequential accumulation over the memoized CSR view —
-        # identical on warm and cold paths since `execute` delegates
-        # here, and engine-sharded by row block when REPRO_EXEC_WORKERS
-        # is set (F=1 slice of the SpMM split; bit-identical).
-        from repro.exec import get_engine
-
-        return get_engine().spmv(A, edge_values, np.asarray(x, dtype=np.float64))
-
     def simulate(self, A: COOMatrix, device: DeviceSpec) -> KernelTrace:
         """Structural half: NZE split, segment census, trace recording."""
         coo = A.sort_csr_order()
@@ -103,9 +94,8 @@ class GnnOneSpMV(SpMVKernel):
 
     def execute(
         self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray, device: DeviceSpec
-    ) -> tuple[np.ndarray, KernelTrace, float]:
-        trace = self.simulate(A, device)
-        return self.compute(A, edge_values, x), trace, 0.0
+    ) -> tuple[KernelTrace, float]:
+        return self.simulate(A, device), 0.0
 
     def memory_bytes(self, num_vertices: int, num_edges: int, feature_length: int) -> int:
         return 8 * num_edges + 4 * num_edges + 8 * num_vertices  # COO + vals + x,y

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.memory import feature_row_sectors
+from repro.gpusim.memory import feature_row_sectors, sorted_distinct
 from repro.gpusim.trace import KernelTrace
 from repro.kernels.gnnone.scheduler import SchedulePlan
 from repro.kernels.gnnone.stage1 import Stage1Plan
@@ -63,8 +63,9 @@ def record_stage2_spmm(
     col_loads = steps * shape.loads_per_thread
     nze_per_warp = s1.chunks.chunk_sizes.astype(np.float64)
     if cols is not None and sched.consecutive and len(cols):
-        combined = sched.slice_of_nze * (int(cols.max()) + 1) + cols.astype(np.int64)
-        uniq_slices = np.unique(combined) // (int(cols.max()) + 1)
+        stride = int(cols.max()) + 1
+        combined = sched.slice_of_nze * stride + cols.astype(np.int64)
+        uniq_slices = sorted_distinct(combined) // stride
         groups = shape.groups_per_warp
         distinct = np.bincount(
             (uniq_slices // groups).astype(np.int64), minlength=sched.n_warps

@@ -57,7 +57,32 @@ class TestBankConflicts:
             strided_conflict_factor(0)
 
 
+def conflict_degree_oracle(target_rows, window=256):
+    """The per-window ``np.unique`` loop the vectorised model replaced."""
+    rows = np.asarray(target_rows)
+    if rows.size == 0:
+        return 1.0
+    degrees = []
+    for start in range(0, rows.size, window):
+        _, counts = np.unique(rows[start : start + window], return_counts=True)
+        degrees.append(float((counts * counts).sum() / counts.sum()))
+    return float(np.asarray(degrees).mean())
+
+
 class TestAtomics:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 100_000])
+    @pytest.mark.parametrize("hi", [1, 7, 300, 2**31 - 1])
+    def test_exactly_equals_window_loop(self, n, hi):
+        rng = np.random.default_rng(n + hi)
+        rows = rng.integers(0, hi, n).astype(np.int32)
+        for stream in (rows, np.sort(rows)):
+            assert conflict_degree(stream) == conflict_degree_oracle(stream)
+
+    @pytest.mark.parametrize("window", [1, 32, 1000])
+    def test_exact_at_other_windows(self, window):
+        rows = np.random.default_rng(window).integers(0, 50, 4321)
+        assert conflict_degree(rows, window) == conflict_degree_oracle(rows, window)
+
     def test_no_conflicts(self):
         assert conflict_degree(np.arange(1000)) == 1.0
 

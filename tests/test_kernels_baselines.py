@@ -1,8 +1,11 @@
 """Baseline kernels: numerics, distinguishing mechanisms, failure modes."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core import clear_plan_cache
 from repro.errors import KernelLaunchError
 from repro.kernels import (
     reference_sddmm,
@@ -47,6 +50,59 @@ class TestAllBaselinesNumerics:
         vals, _, _, x = make_operands(small_graph, 4, rng)
         res = spmv_kernel(name)(small_graph, vals, x)
         np.testing.assert_allclose(res.output, reference_spmv(small_graph, vals, x))
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """Count calls of ``reference_*`` made from anywhere in ``repro.kernels``."""
+    calls = []
+    for mod_name, mod in list(sys.modules.items()):
+        if not mod_name.startswith("repro.kernels"):
+            continue
+        for fn_name in ("reference_spmm", "reference_sddmm", "reference_spmv"):
+            fn = getattr(mod, fn_name, None)
+            if fn is not None:
+                def counted(*args, _fn=fn, _name=fn_name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, fn_name, counted)
+    return calls
+
+
+class TestColdWarmIdentity:
+    """A cold launch runs the same numerics as a plan-cache replay."""
+
+    @staticmethod
+    def _cold_then_warm(kernel, *operands):
+        clear_plan_cache()
+        cold = kernel(*operands)
+        cold_out = np.array(cold.output, copy=True)
+        warm = kernel(*operands)
+        assert warm.cost is cold.cost  # the second launch was a replay
+        np.testing.assert_array_equal(warm.output, cold_out)
+        return cold_out
+
+    @pytest.mark.parametrize("name", spmm_kernel_names())
+    def test_spmm(self, small_graph, rng, reference_calls, name):
+        vals, X, _, _ = make_operands(small_graph, 16, rng)
+        out = self._cold_then_warm(spmm_kernel(name), small_graph, vals, X)
+        assert reference_calls == []
+        np.testing.assert_allclose(out, reference_spmm(small_graph, vals, X))
+
+    @pytest.mark.parametrize("name", sddmm_kernel_names())
+    def test_sddmm(self, small_graph, rng, reference_calls, name):
+        _, X, Xr, _ = make_operands(small_graph, 16, rng)
+        out = self._cold_then_warm(sddmm_kernel(name), small_graph, Xr, X)
+        assert reference_calls == []
+        np.testing.assert_allclose(out, reference_sddmm(small_graph, Xr, X))
+
+    @pytest.mark.parametrize("name", spmv_kernel_names())
+    def test_spmv(self, small_graph, rng, reference_calls, name):
+        vals, _, _, x = make_operands(small_graph, 4, rng)
+        out = self._cold_then_warm(spmv_kernel(name), small_graph, vals, x)
+        assert reference_calls == []
+        np.testing.assert_allclose(out, reference_spmv(small_graph, vals, x))
 
 
 class TestRegistry:
