@@ -85,7 +85,7 @@ class ShardLaunch:
         if self.op == "csr":
             numerics.csr_block_spmm(
                 self.indptr, self.cols, self.data, self.X, self.out,
-                b.row_start, b.row_end, b.nnz_start, b.nnz_end, self.num_cols,
+                b.row_start, b.row_end, self.num_cols,
             )
         else:
             numerics.sddmm_block(

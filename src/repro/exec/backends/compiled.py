@@ -16,9 +16,10 @@ Bit-identity rules (the parity suite gates these):
   output row is owned by exactly one thread), so results match the
   serial path bit-for-bit at any thread count.
 * SDDMM: the canonical numerics accumulate each edge dot from 0.0 in
-  ascending feature order (:func:`repro.exec.numerics.sddmm_block`, a
-  cache-blocked feature-major kernel that is also the eager fallback);
-  the scalar ``k`` loop below is the same add sequence per edge.
+  ascending feature order (:func:`repro.exec.numerics.sddmm_block`:
+  a row gather plus scipy's compiled gemv per edge chunk, also the
+  eager fallback); the scalar ``k`` loop below is the same add sequence
+  per edge.
 * Fused-GAT edge pipeline: the score pass (gather + leaky-relu) and
   segment max are compiled (both exact — elementwise ops and ``max``
   are association-free); ``np.exp`` and the segment-sum stay on the

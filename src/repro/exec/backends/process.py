@@ -266,8 +266,7 @@ def _worker_run(task: dict):
         numerics.csr_block_spmm(
             _view(g, task["indptr"]), _view(g, task["gcols"]),
             _view(s, task["data"]), _view(s, task["X"]), out,
-            task["row_start"], task["row_end"],
-            task["nnz_start"], task["nnz_end"], task["num_cols"],
+            task["row_start"], task["row_end"], task["num_cols"],
         )
     else:
         numerics.sddmm_block(

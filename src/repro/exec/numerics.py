@@ -13,21 +13,24 @@ per row block over absolute ``indptr`` slices of the *same* shared
 sequence, so block outputs match the serial sweep bit-for-bit.
 
 SDDMM accumulates each edge dot in ascending feature order: start at
-0.0, then add ``X[r, k] * Y[c, k]`` for ``k = 0, 1, ...``.  That is the
-*defined* summation order every backend reproduces — a scalar ``for k``
-loop (the numba backend) performs the identical add sequence.  The
-kernel is cache-blocked and feature-major: the operands are transposed
-once to ``(F, n)`` rows, and the edges are walked in chunks of
-``SDDMM_CHUNK``; per chunk and feature, ``take`` gathers the chunk's row
-and column features into two small reused buffers, multiplies them in
-place and adds the product into the chunk's output slice, so the
-working set stays in cache and no ``(nnz, F)`` gather is ever built.
-Chunking preserves bit-identity because every edge's dot depends only
-on its own two feature rows: cutting the edge list into chunks (or into
-thread/process blocks) changes which edges share a vectorized pass, not
-the add sequence within any one edge.  ``np.einsum`` would skip the
-feature passes but uses SIMD partial accumulators, so its last-bit
-results are not reproducible by a scalar kernel.
+0.0, then add ``X[r, k] * Y[c, k]`` for ``k = 0, 1, ...``, rounding
+each product and each add separately.  That is the *defined* summation
+order every backend reproduces — a scalar ``for k`` loop (the numba
+backend) performs the identical add sequence.  The kernel walks the
+edges in chunks of about ``SDDMM_CHUNK`` elements and makes two compiled
+calls per chunk: ``X.take(rows, axis=0)`` copies each edge's whole X row
+into one reused ``(edges, F)`` block, then scipy's BSR matvec
+(``bsr_matvec`` with 1×F blocks, block ``e`` in column ``cols[e]``)
+forms the dots.  Its inner loop is a gemv, ``dot = y[i]; for k: dot +=
+A[k] * x[k]``, run on a zeroed ``out`` — exactly the canonical order.
+An FMA-contracting scipy build would round ``dot + A*x`` once and break
+this; ``TestSddmmOrder`` carries a canary input that tells the two
+apart.  Chunking preserves bit-identity because every edge's dot
+depends only on its own two feature rows: cutting the edge list into
+chunks (or into thread/process blocks) changes which edges share a
+call, not the add sequence within any one edge.  ``np.einsum`` would
+also avoid the per-feature passes but uses SIMD partial accumulators,
+so its last-bit results are not reproducible by a scalar kernel.
 
 The fused-GAT edge softmax keeps ``np.maximum.reduceat`` (max is
 association-free), ``np.add.reduceat`` and ``np.exp`` as its canonical
@@ -38,13 +41,9 @@ must reuse numpy for the pairwise segment sum and libm ``exp``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools as _st  # private; present in every scipy >= 1.8
 
 from repro.sparse.coo import COOMatrix
-
-try:  # scipy >= 1.8 private module (stable for a decade; guarded anyway)
-    from scipy.sparse import _sparsetools as _st
-except ImportError:  # pragma: no cover - ancient scipy
-    _st = None
 
 
 def csr_spmm_serial(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -59,10 +58,11 @@ def csr_spmm_serial(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.
     return M @ np.asarray(X)
 
 
-#: Edges per cache block of the SDDMM kernel: the two chunk buffers, the
-#: chunk's indices and its output slice stay cache-resident across all
-#: feature passes (4k-32k measured within noise of each other on G14).
-SDDMM_CHUNK = 16384
+#: Elements (edges × F) per SDDMM chunk: the ``(edges, F)`` float64 row
+#: block stays near 256 KiB, so it is still in cache when the gemv reads
+#: it.  Sizing by elements matters: on G14, F=1 wants >=16k edges per
+#: chunk and F=64 ~512-1024; a fixed 1024-edge chunk made F=1 ~2x slower.
+SDDMM_CHUNK = 32768
 
 
 def _sddmm_into(
@@ -70,38 +70,46 @@ def _sddmm_into(
 ) -> None:
     """``out[e] = <X[rows[e]], Y[cols[e]]>``, feature-ascending per edge.
 
-    ``out`` is overwritten.  Casting both operands to their common type
-    up front is exact and is what ``X[r, k] * Y[c, k]`` does implicitly.
+    ``out`` is overwritten.  Operands are cast to float64 first, so the
+    products are formed in float64 whatever the input dtypes.
     """
     n = out.shape[0]
     if not n:
         return
-    if rows.max() >= X.shape[0] or cols.max() >= Y.shape[0]:
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    # bsr_matvec reads Y unchecked: reject every index outside the rows
+    # and a feature length that would misalign Y's rows.
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"SDDMM feature lengths differ: {X.shape[1]} vs {Y.shape[1]}")
+    if (
+        rows.min() < 0 or rows.max() >= X.shape[0]
+        or cols.min() < 0 or cols.max() >= Y.shape[0]
+    ):
         raise IndexError("SDDMM edge index out of range of the operand rows")
-    dtype = np.result_type(X.dtype, Y.dtype)
-    XT = np.ascontiguousarray(X.T, dtype=dtype)
-    YT = np.ascontiguousarray(Y.T, dtype=dtype)
-    bx = np.empty(min(n, SDDMM_CHUNK), dtype=dtype)
-    by = np.empty_like(bx)
-    for s in range(0, n, SDDMM_CHUNK):
-        e = min(s + SDDMM_CHUNK, n)
-        # intp indices once per chunk, not once per take; "wrap" skips
-        # take's buffered bounds check (the guard above covers it).
-        r = rows[s:e].astype(np.intp, copy=False)
-        c = cols[s:e].astype(np.intp, copy=False)
-        x, y, o = bx[: e - s], by[: e - s], out[s:e]
+    F = X.shape[1]
+    if not F:
+        out[...] = 0.0
+        return
+    edges = max(1, SDDMM_CHUNK // F)
+    block = np.empty((min(n, edges), F))
+    # Edge i of a chunk is BSR block row i holding one 1×F block.
+    ptr = np.arange(block.shape[0] + 1, dtype=cols.dtype)
+    y = Y.ravel()
+    for s in range(0, n, edges):
+        e = min(s + edges, n)
+        b, o = block[: e - s], out[s:e]
+        # "clip" skips take's buffered bounds check (the guard covers it).
+        X.take(rows[s:e], axis=0, out=b, mode="clip")
         o[...] = 0.0
-        for k in range(XT.shape[0]):
-            np.take(XT[k], r, out=x, mode="wrap")
-            np.take(YT[k], c, out=y, mode="wrap")
-            np.multiply(x, y, out=x)
-            np.add(o, x, out=o)
+        _st.bsr_matvec(
+            e - s, Y.shape[0], 1, F, ptr[: e - s + 1], cols[s:e], b.ravel(), y, o
+        )
 
 
 def sddmm_serial(A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``W[e] = <X[row_e], Y[col_e]>`` in the caller's edge order."""
-    X, Y = np.asarray(X), np.asarray(Y)
-    out = np.empty(A.nnz, dtype=np.result_type(X.dtype, Y.dtype, np.float64))
+    out = np.empty(A.nnz)
     _sddmm_into(A.rows, A.cols, X, Y, out)
     return out
 
@@ -114,8 +122,6 @@ def csr_block_spmm(
     out: np.ndarray,
     row_start: int,
     row_end: int,
-    nnz_start: int,
-    nnz_end: int,
     num_cols: int,
 ) -> None:
     """Accumulate rows ``[row_start, row_end)`` of ``A_w @ X`` into ``out``.
@@ -128,32 +134,21 @@ def csr_block_spmm(
     y = out[row_start:row_end]
     if n_rows <= 0:
         return
-    if _st is not None:
-        if X.ndim == 1:
-            _st.csr_matvec(
-                n_rows, num_cols, indptr[row_start : row_end + 1], cols, data, X, y
-            )
-        else:
-            _st.csr_matvecs(
-                n_rows,
-                num_cols,
-                X.shape[1],
-                indptr[row_start : row_end + 1],
-                cols,
-                data,
-                X.ravel(),
-                y.ravel(),
-            )
-        return
-    # Fallback: rebase the indptr slice and let scipy build the block.
-    import scipy.sparse as sp  # pragma: no cover - exercised only w/o _sparsetools
-
-    block_ptr = indptr[row_start : row_end + 1].astype(np.int64) - nnz_start
-    M = sp.csr_matrix(
-        (data[nnz_start:nnz_end], cols[nnz_start:nnz_end], block_ptr),
-        shape=(n_rows, num_cols),
-    )
-    y[...] = M @ X
+    if X.ndim == 1:
+        _st.csr_matvec(
+            n_rows, num_cols, indptr[row_start : row_end + 1], cols, data, X, y
+        )
+    else:
+        _st.csr_matvecs(
+            n_rows,
+            num_cols,
+            X.shape[1],
+            indptr[row_start : row_end + 1],
+            cols,
+            data,
+            X.ravel(),
+            y.ravel(),
+        )
 
 
 def sddmm_block(

@@ -149,12 +149,12 @@ def edge_softmax(graph: GraphData, scores: Tensor, backend: TrainingBackend) -> 
         # d s = alpha * (g - segsum(alpha * g))
         if not scores.requires_grad:
             return
-        _charge_spmv(backend, graph.coo, alpha_data * g, "edge_softmax_bwd")
+        weighted = alpha_data * g
+        _charge_spmv(backend, graph.coo, weighted, "edge_softmax_bwd")
         charge_elementwise(graph.num_edges, reads=2, writes=1, name="edge_softmax_bwd")
         if g.size == 0:
             scores.accumulate_grad(g)
             return
-        weighted = alpha_data * g
         seg = np.add.reduceat(weighted, bounds)
         full = np.zeros(graph.num_vertices)
         full[rows[bounds]] = seg

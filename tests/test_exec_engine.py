@@ -178,15 +178,67 @@ class TestBitIdentity:
             np.testing.assert_array_equal(get_engine().spmm(coo, vals, X), serial)
 
 
+BAD_EDGE_CASES = ["negative-col", "negative-row", "col-equals-n"]
+
+
+def bad_edge_operands(case: str):
+    """A non-CSR-ordered COO with one edge outside the operand rows.
+
+    The index is planted after construction (``COOMatrix`` rejects it
+    up front); descending rows keep every engine on the plain NZE-range
+    split, which never reads the indices before the kernel does.
+    """
+    n, F = 12, 5
+    rows = np.repeat(np.arange(n - 1, -1, -1), 3)
+    cols = np.tile(np.arange(3), n) * 4 % n
+    coo = COOMatrix(n, n, rows, cols)
+    if case == "negative-col":
+        coo.cols[7] = -1
+    elif case == "negative-row":
+        coo.rows[-1] = -1
+    else:
+        coo.cols[20] = n
+    rng = np.random.default_rng(11)
+    return coo, rng.standard_normal((n, F)), rng.standard_normal((n, F))
+
+
 class TestSddmmOrder:
     """The blocked SDDMM kernel equals the full-gather oracle bit-for-bit."""
 
+    def test_fma_canary(self):
+        """Separately rounded product and add give exactly 0.0; a fused
+        multiply-add keeps the low bits of (1+2⁻²⁷)(1−2⁻²⁷) = 1−2⁻⁵⁴
+        and gives −2⁻⁵⁴, so an FMA-contracting scipy build fails here."""
+        coo = COOMatrix(1, 1, np.array([0]), np.array([0]))
+        X = np.array([[-1.0, 1.0 + 2.0**-27]])
+        Y = np.array([[1.0, 1.0 - 2.0**-27]])
+        out = sddmm_serial(coo, X, Y)
+        assert out[0] == 0.0 and not np.signbit(out[0])
+
+    @pytest.mark.parametrize("F", [0, 1, 6, 16, 32, 41, 64])
+    def test_g3_bytes_equal_oracle(self, F):
+        coo = load_dataset("G3").coo
+        rng = np.random.default_rng(F)
+        X = rng.standard_normal((coo.num_rows, F))
+        Y = rng.standard_normal((coo.num_cols, F))
+        out = sddmm_serial(coo, X, Y)
+        assert out.tobytes() == oracle_sddmm(coo, X, Y).tobytes()
+
     @pytest.mark.parametrize("F", [1, 3, 16, 41])
-    @pytest.mark.parametrize(
-        "nnz",
-        [0, SDDMM_CHUNK - 1, SDDMM_CHUNK, SDDMM_CHUNK + 1, 3 * SDDMM_CHUNK + 5],
-    )
+    @pytest.mark.parametrize("nnz", [0, 16383, 16384, 16385, 49157])
     def test_serial_across_chunk_boundaries(self, nnz, F):
+        """Fixed sizes around 2¹⁴ edges: one partial chunk at F=1, exact
+        boundaries at F=16 (2048-edge chunks), ragged ones at F=3/41."""
+        self._check_against_oracle(nnz, F)
+
+    @pytest.mark.parametrize("F", [1, 3, 16, 41])
+    @pytest.mark.parametrize("chunks,extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_serial_at_each_f_chunk_boundary(self, chunks, extra, F):
+        """``nnz`` on and around F's own chunk length ``SDDMM_CHUNK // F``."""
+        self._check_against_oracle(chunks * (SDDMM_CHUNK // F) + extra, F)
+
+    @staticmethod
+    def _check_against_oracle(nnz: int, F: int) -> None:
         rng = np.random.default_rng(nnz * 64 + F)
         coo = random_coo(300, 200, nnz, rng)
         X = rng.standard_normal((300, F))
@@ -217,6 +269,7 @@ class TestSddmmOrder:
         np.testing.assert_array_equal(sddmm_serial(coo, X, Y), oracle_sddmm(coo, X, Y))
 
     def test_mixed_dtypes_match_oracle(self):
+        """Products are formed in float64: float32 operands are cast first."""
         rng = np.random.default_rng(4)
         coo = random_coo(20, 20, 200, rng)
         X = rng.standard_normal((20, 7)).astype(np.float32)
@@ -224,12 +277,36 @@ class TestSddmmOrder:
         for a, b in ((X, X), (X, Y), (Y, X)):
             out = sddmm_serial(coo, a, b)
             assert out.dtype == np.float64
-            np.testing.assert_array_equal(out, oracle_sddmm(coo, a, b))
+            expect = oracle_sddmm(coo, *(np.asarray(v, np.float64) for v in (a, b)))
+            np.testing.assert_array_equal(out, expect)
 
     def test_out_of_range_operand_raises(self):
         coo = COOMatrix(4, 4, np.array([0, 3]), np.array([1, 2]))
         with pytest.raises(IndexError):
             sddmm_serial(coo, np.ones((3, 2)), np.ones((4, 2)))
+
+    def test_feature_length_mismatch_raises(self):
+        coo = COOMatrix(4, 4, np.array([0, 3]), np.array([1, 2]))
+        with pytest.raises(ValueError):
+            sddmm_serial(coo, np.ones((4, 2)), np.ones((4, 3)))
+
+    @pytest.mark.parametrize("case", BAD_EDGE_CASES)
+    def test_bad_index_raises_serial_and_block(self, case):
+        coo, X, Y = bad_edge_operands(case)
+        with pytest.raises(IndexError):
+            sddmm_serial(coo, X, Y)
+        out = np.empty(coo.nnz)
+        with pytest.raises(IndexError):
+            sddmm_block(coo.rows, coo.cols, X, Y, out, 0, coo.nnz)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_bad_index_raises_through_engine(self, backend):
+        """Sharded launches fail the bad shard, degrade, and still raise."""
+        with exec_workers(3, min_parallel_nnz=0, backend=backend):
+            for case in BAD_EDGE_CASES:
+                coo, X, Y = bad_edge_operands(case)
+                with pytest.raises(IndexError):
+                    get_engine().sddmm(coo, X, Y)
 
     @pytest.mark.parametrize(
         "start,end", [(0, 157), (3, 20), (6, 8), (7, 7), (13, 150), (140, 157)]
@@ -676,7 +753,7 @@ class TestBackendParity:
         """Every shard spans several chunks (process workers run the real
         chunk size, so the graph is sized for it, not monkeypatched)."""
         rng = np.random.default_rng(31)
-        nnz = backend_engine.workers * (2 * SDDMM_CHUNK + 123)
+        nnz = backend_engine.workers * (2 * (SDDMM_CHUNK // 5) + 123)
         coo = random_coo(700, 500, nnz, rng, csr=csr)
         X = rng.standard_normal((700, 5))
         Y = np.asfortranarray(rng.standard_normal((500, 5)))
