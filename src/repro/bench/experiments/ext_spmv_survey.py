@@ -8,10 +8,9 @@ relative to the row-parallel lineage on balanced vs skewed graphs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
+from repro.kernels.base import stand_in_operands
 from repro.kernels.registry import spmv_kernel, spmv_kernel_names
 from repro.sparse.datasets import QUICK_KEYS, load_dataset
 
@@ -29,12 +28,10 @@ def run(*, quick: bool = False) -> ExperimentResult:
     )
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(9)
-        vals = rng.standard_normal(A.nnz)
-        x = rng.standard_normal(A.num_cols)
+        vals, x = stand_in_operands("spmv", A, 1)
         row: dict = {"dataset": key}
         for name in names:
-            row[name] = spmv_kernel(name)(A, vals, x).time_us
+            row[name] = spmv_kernel(name)(A, vals, x, numerics=False).time_us
         result.add_row(**row)
     # The nonzero-split family should dominate csr-scalar everywhere and
     # csr-vector on skewed graphs.

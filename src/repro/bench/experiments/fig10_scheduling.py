@@ -9,12 +9,11 @@ the full-kernel ratio alongside.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
 from repro.gpusim.cost import estimate_cost
 from repro.gpusim.device import A100
+from repro.kernels.base import stand_in_operands
 from repro.kernels.gnnone import CONSECUTIVE, ROUND_ROBIN, GnnOneConfig, GnnOneSpMM
 from repro.sparse.datasets import DESIGN_SWEEP_KEYS, QUICK_KEYS, load_dataset
 
@@ -31,14 +30,12 @@ def run(*, quick: bool = False) -> ExperimentResult:
     )
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((A.num_cols, DIM))
-        vals = rng.standard_normal(A.nnz)
+        vals, X = stand_in_operands("spmm", A, DIM)
         times = {}
         full = {}
         for sched in (CONSECUTIVE, ROUND_ROBIN):
             kernel = GnnOneSpMM(GnnOneConfig(schedule=sched))
-            res = kernel(A, vals, X)
+            res = kernel(A, vals, X, numerics=False)
             load_cost = estimate_cost(res.trace, A100, phase_kinds=("load",))
             times[sched] = load_cost.time_us
             full[sched] = res.time_us

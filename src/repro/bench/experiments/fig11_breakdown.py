@@ -14,6 +14,7 @@ from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
 from repro.gpusim.cost import estimate_cost
 from repro.gpusim.device import A100
+from repro.kernels.base import stand_in_operands
 from repro.kernels.gnnone import GnnOneSDDMM, GnnOneSpMM
 from repro.sparse.datasets import DESIGN_SWEEP_KEYS, QUICK_KEYS, load_dataset
 
@@ -30,15 +31,8 @@ def run(*, quick: bool = False) -> ExperimentResult:
     )
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((A.num_cols, DIM))
-        vals = rng.standard_normal(A.nnz)
-        Xr = rng.standard_normal((A.num_rows, DIM))
-        for name, run_kernel in (
-            ("spmm", lambda: GnnOneSpMM()(A, vals, X)),
-            ("sddmm", lambda: GnnOneSDDMM()(A, Xr, X)),
-        ):
-            res = run_kernel()
+        for name, kernel in (("spmm", GnnOneSpMM()), ("sddmm", GnnOneSDDMM())):
+            res = kernel(A, *stand_in_operands(name, A, DIM), numerics=False)
             load = estimate_cost(res.trace, A100, phase_kinds=("load",))
             result.add_row(
                 dataset=key,

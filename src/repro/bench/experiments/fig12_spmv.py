@@ -10,10 +10,9 @@ Kron-21 (G10).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.harness import experiment
 from repro.bench.report import ExperimentResult
+from repro.kernels.base import stand_in_operands
 from repro.kernels.baselines import DaltonSpMV, MergeSpMV
 from repro.kernels.gnnone import GnnOneSpMV
 from repro.sparse.datasets import DESIGN_SWEEP_KEYS, QUICK_KEYS, load_dataset
@@ -33,15 +32,13 @@ def run(*, quick: bool = False) -> ExperimentResult:
     gnnone, merge, dalton = GnnOneSpMV(), MergeSpMV(), DaltonSpMV()
     for key in keys:
         A = load_dataset(key).coo
-        rng = np.random.default_rng(7)
-        vals = rng.standard_normal(A.nnz)
-        x = rng.standard_normal(A.num_cols)
-        ours = gnnone(A, vals, x).time_us
+        vals, x = stand_in_operands("spmv", A, 1)
+        ours = gnnone(A, vals, x, numerics=False).time_us
         if key in MERGE_FAILS_ON:
             merge_us = None
         else:
-            merge_us = merge(A, vals, x).time_us
-        dalton_us = dalton(A, vals, x).time_us
+            merge_us = merge(A, vals, x, numerics=False).time_us
+        dalton_us = dalton(A, vals, x, numerics=False).time_us
         result.add_row(
             dataset=key,
             gnnone_us=ours,

@@ -18,6 +18,11 @@ concurrently on the engine's worker pool while row order stays
 deterministic.  Kernel numerics invoked *inside* a concurrently
 executed point degrade to serial automatically, so the pool never
 deadlocks on nested parallelism.
+
+Simulated time depends on topology, kernel config and feature length
+alone, so :func:`time_spmm` / :func:`time_sddmm` make pricing launches
+(``numerics=False``) on zero-byte stand-in operands: a sweep point runs
+no numerics and allocates no arrays, and their ``seed`` is inert.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.core import plancache
 from repro.errors import BenchmarkError, KernelLaunchError
 from repro.exec import get_engine
 from repro.gpusim.device import DeviceSpec, get_device
+from repro.kernels.base import stand_in_operands
 from repro.kernels.registry import sddmm_kernel, spmm_kernel
 from repro.nn.memory import USABLE_FRACTION
 from repro.bench.report import ExperimentResult
@@ -125,20 +131,16 @@ def kernel_fits(kernel, spec: DatasetSpec, feature_length: int, device: DeviceSp
     return needed <= USABLE_FRACTION * device.memory_bytes
 
 
-# Sized to one quick grid (datasets x feature lengths, ~91 MB): Fig-4
-# then reuses every operand set Fig-3 just built instead of regenerating
-# each one after the LRU cycled it out.
+# Sized to one quick grid (datasets x feature lengths, ~91 MB): an
+# output check over both figures builds each operand set once.
 @lru_cache(maxsize=len(QUICK_KEYS) * len(FEATURE_LENGTHS))
 def sweep_operands(
     dataset_key: str, feature_length: int, seed: int = 0
 ) -> tuple[COOMatrix, np.ndarray, np.ndarray, np.ndarray]:
-    """Memoized ``(A, edge_values, X_cols, X_rows)`` for one sweep point.
+    """Memoized real ``(A, edge_values, X_cols, X_rows)`` for one sweep point.
 
-    A figure sweep revisits the same (dataset, feature-length) point
-    once per kernel; without this cache each visit regenerated the
-    operand arrays (and, before :func:`load_dataset` was memoized,
-    rebuilt the COO) dozens of times per sweep.  Arrays are returned
-    read-only since they are shared across kernel invocations.
+    For callers that run a point's numerics (output checks, numerics
+    benchmarks).  Arrays are read-only: they are shared across callers.
     """
     A = load_dataset(dataset_key).coo
     rng = np.random.default_rng(seed)
@@ -150,53 +152,39 @@ def sweep_operands(
     return A, edge_values, X_cols, X_rows
 
 
-def time_spmm(
-    name: str, dataset_key: str, feature_length: int, *, device=None, seed: int = 0
-) -> float | None:
-    """Simulated microseconds, or None for OOM/launch failure."""
+def _time_point(kind: str, name: str, dataset_key: str, feature_length: int, device):
+    """Price one sweep point under a ``bench.<kind>`` span."""
     dev = get_device(device)
     spec = get_spec(dataset_key)
-    with obs.span("bench.spmm", kind="spmm", kernel=name, dataset=spec.key,
+    with obs.span(f"bench.{kind}", kind=kind, kernel=name, dataset=spec.key,
                   f=feature_length) as sp:
-        kernel = spmm_kernel(name)
+        kernel = spmm_kernel(name) if kind == "spmm" else sddmm_kernel(name)
         if not kernel_fits(kernel, spec, feature_length, dev):
             sp.set(outcome="oom")
             return None
-        A, vals, X, _ = sweep_operands(spec.key, feature_length, seed)
+        A = load_dataset(spec.key).coo
+        operands = stand_in_operands(kind, A, feature_length)
         try:
-            result = kernel(A, vals, X, device=dev)
+            time_us = kernel(A, *operands, device=dev, numerics=False).time_us
         except KernelLaunchError:
             sp.set(outcome="launch-error")
             return None
-        time_us = result.time_us
-        # The sweep only reads the simulated time; hand the output
-        # buffer back so the next launch of this shape skips allocation.
-        get_engine().release(result.output)
         sp.set(outcome="ok").add_sim_us(time_us)
         return time_us
+
+
+def time_spmm(
+    name: str, dataset_key: str, feature_length: int, *, device=None, seed: int = 0
+) -> float | None:
+    """Simulated microseconds, or None for OOM/launch failure (``seed`` is inert)."""
+    return _time_point("spmm", name, dataset_key, feature_length, device)
 
 
 def time_sddmm(
     name: str, dataset_key: str, feature_length: int, *, device=None, seed: int = 0
 ) -> float | None:
-    dev = get_device(device)
-    spec = get_spec(dataset_key)
-    with obs.span("bench.sddmm", kind="sddmm", kernel=name, dataset=spec.key,
-                  f=feature_length) as sp:
-        kernel = sddmm_kernel(name)
-        if not kernel_fits(kernel, spec, feature_length, dev):
-            sp.set(outcome="oom")
-            return None
-        A, _, Y, X = sweep_operands(spec.key, feature_length, seed)
-        try:
-            result = kernel(A, X, Y, device=dev)
-        except KernelLaunchError:
-            sp.set(outcome="launch-error")
-            return None
-        time_us = result.time_us
-        get_engine().release(result.output)
-        sp.set(outcome="ok").add_sim_us(time_us)
-        return time_us
+    """SDDMM counterpart of :func:`time_spmm` (``seed`` is inert too)."""
+    return _time_point("sddmm", name, dataset_key, feature_length, device)
 
 
 # Import experiment modules for their registration side effects.

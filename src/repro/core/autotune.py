@@ -19,9 +19,10 @@ Two strategies:
   ``tune.fallback`` — tuning never fails for lack of an artifact.
 
 Tuning is structure-dominated like the cost model itself: the trial
-times depend on the topology, not the operand values, so one operand
-draw is shared by every trial config and the whole :class:`TuneResult`
-is memoized per ``(structure_token, kind, feature_length, device)``
+times depend on the topology, not the operand values, so every trial is
+a pricing launch (``numerics=False``) on stand-in operands and the
+whole :class:`TuneResult` is memoized per
+``(structure_token, kind, feature_length, device)``
 (plus the searched space and resolved strategy).  The memo is an
 RLock-guarded LRU bounded by ``REPRO_TUNE_CACHE_CAP`` (default 256
 entries) so long multi-graph runs cannot grow it without bound; hits
@@ -46,6 +47,7 @@ import numpy as np
 from repro import obs
 from repro.core import plancache
 from repro.gpusim.device import DeviceSpec, get_device
+from repro.kernels.base import stand_in_operands
 from repro.kernels.gnnone import (
     CONSECUTIVE,
     ROUND_ROBIN,
@@ -170,21 +172,14 @@ def autotune(
     cache_sizes: tuple[int, ...] = DEFAULT_CACHE_SIZES,
     schedules: tuple[str, ...] = (CONSECUTIVE, ROUND_ROBIN),
     device: DeviceSpec | str | None = None,
-    seed: int = 0,
-    operands: tuple[np.ndarray, np.ndarray] | None = None,
     strategy: str | None = None,
     model: "CostModel | None" = None,
     top_k: int | None = None,
 ) -> TuneResult:
     """Pick the fastest GNNOne config for ``A`` at ``feature_length``.
 
-    ``operands`` optionally supplies a pre-generated operand pair —
-    ``(edge_values, X)`` for spmm, ``(X_rows, Y_cols)`` for sddmm — so
-    callers that already hold training tensors skip the rng draw; when
-    omitted, one draw from ``seed`` is shared across all trial configs.
-    The result is memoized per structure token: the trial times are
-    value-independent, so neither ``seed`` nor ``operands`` participates
-    in the memo key.
+    Trials price each candidate without running its numerics, so no
+    operands are drawn; the result is memoized per structure token.
 
     ``strategy`` selects exhaustive (``"exact"``) or model-pruned
     (``"learned"``) search; ``None`` defers to ``REPRO_TUNE``.  The
@@ -230,13 +225,11 @@ def autotune(
             model=resolved_model,
             cache_sizes=cache_sizes, schedules=schedules, device=dev,
             top_k=DEFAULT_TOP_K if top_k is None else top_k,
-            seed=seed, operands=operands,
         ).tune_result
     else:
         result = _exhaustive(
             A, feature_length, kind,
             cache_sizes=cache_sizes, schedules=schedules, dev=dev,
-            seed=seed, operands=operands,
         )
     if caching:
         with _LOCK:
@@ -257,36 +250,15 @@ def _exhaustive(
     cache_sizes: tuple[int, ...],
     schedules: tuple[str, ...],
     dev: DeviceSpec,
-    seed: int,
-    operands: tuple[np.ndarray, np.ndarray] | None,
 ) -> TuneResult:
-    rng = np.random.default_rng(seed)
-    if kind == "spmm":
-        if operands is not None:
-            vals, X = operands
-        else:
-            X = rng.standard_normal((A.num_cols, feature_length))
-            vals = rng.standard_normal(A.nnz)
-
-        def run(cfg: GnnOneConfig) -> float:
-            return GnnOneSpMM(cfg)(A, vals, X, device=dev).time_us
-
-    else:
-        if operands is not None:
-            Xr, X = operands
-        else:
-            X = rng.standard_normal((A.num_cols, feature_length))
-            Xr = rng.standard_normal((A.num_rows, feature_length))
-
-        def run(cfg: GnnOneConfig) -> float:
-            return GnnOneSDDMM(cfg)(A, Xr, X, device=dev).time_us
-
+    kernel_cls = GnnOneSpMM if kind == "spmm" else GnnOneSDDMM
+    operands = stand_in_operands(kind, A, feature_length)
     trials: dict[tuple[int, str], float] = {}
     best: tuple[float, GnnOneConfig] | None = None
     for cache in cache_sizes:
         for sched in schedules:
             cfg = GnnOneConfig(cache_size=cache, schedule=sched)
-            t = run(cfg)
+            t = kernel_cls(cfg)(A, *operands, device=dev, numerics=False).time_us
             trials[(cache, sched)] = t
             if best is None or t < best[0]:
                 best = (t, cfg)

@@ -18,6 +18,8 @@ JIT-compiled whole-launch kernel).  The contract:
   its budget — the engine then degrades the launch to the serial
   numerics, identically for a thread fault, a dead worker process, or
   a failed compiled kernel;
+* a caller's bad operands (:data:`INPUT_ERRORS`) are not faults: they
+  reach the caller from the first attempt, without retry or degrade;
 * outputs must be **bit-identical** to the serial path.  Row blocks
   never share an output row and SDDMM edge ranges never share an
   output edge, so a backend that runs
@@ -49,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: base backoff before a shard retry; doubles per attempt, capped below
 RETRY_BACKOFF_S = 0.001
 RETRY_BACKOFF_MAX_S = 0.05
+
+#: the numerics guard's errors for a caller's bad operands: every attempt
+#: would fail alike, so they fail the launch at once, pool health untouched
+INPUT_ERRORS = (IndexError, ValueError)
 
 
 @dataclass
@@ -150,6 +156,8 @@ def run_shard_with_retries(
             wall_ms = (time.perf_counter() - t0) * 1e3
             metrics.histogram("exec.shard_wall_ms").observe(wall_ms)
             return wall_ms
+        except INPUT_ERRORS:
+            raise
         except Exception as e:  # noqa: BLE001 - bounded retry, then typed raise
             last_error = e
             if attempt + 1 >= engine.max_attempts:

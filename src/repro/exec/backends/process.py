@@ -51,6 +51,7 @@ from repro import obs
 from repro.errors import ShardExecutionError
 from repro.exec import numerics
 from repro.exec.backends.base import (
+    INPUT_ERRORS,
     RETRY_BACKOFF_MAX_S,
     RETRY_BACKOFF_S,
     NumericsBackend,
@@ -220,18 +221,28 @@ def _patch_resource_tracker() -> None:
     resource_tracker._repro_shm_untracked = True
 
 
+def _exit_with_parent() -> None:
+    """Exit once the parent is gone (its sentinel pipe closes).  The task
+    queue cannot tell: each worker holds both ends of its pipe."""
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        parent.join()
+        os._exit(0)
+
+
 def _worker_init() -> None:
     """Spawn-hook: pin the child serial and make shm attachment inert.
 
     A worker must never build its own parallel engine (oversubscription)
     or re-arm the fault injector (the parent injects deterministically
-    on its side of the submit boundary).
+    on its side of the submit boundary), nor outlive its parent.
     """
     os.environ["REPRO_EXEC_WORKERS"] = "1"
     os.environ["REPRO_EXEC_BACKEND"] = "thread"
     os.environ.pop("REPRO_FAULT_PROFILE", None)
     os.environ["REPRO_OBS"] = "off"
     _patch_resource_tracker()
+    threading.Thread(target=_exit_with_parent, name="repro-parent-watch", daemon=True).start()
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -376,6 +387,7 @@ class ProcessBackend(NumericsBackend):
                     submitted.append((b, None, e))
             retry: list = []
             exhausted: list[tuple] = []
+            input_error: BaseException | None = None
             broken = False
             # Drain the whole round before raising anything: a straggler
             # worker must never keep writing into a scratch segment the
@@ -404,6 +416,8 @@ class ProcessBackend(NumericsBackend):
                             )
                     wall_by_index[b.index] = worker_ms
                     metrics.histogram("exec.shard_wall_ms").observe(worker_ms)
+                except INPUT_ERRORS as e:
+                    input_error = input_error or e
                 except Exception as e:  # noqa: BLE001 - bounded retry below
                     if isinstance(e, BrokenProcessPool):
                         broken = True
@@ -419,6 +433,8 @@ class ProcessBackend(NumericsBackend):
                         retry.append(b)
             if broken:
                 self._rebuild_executor()
+            if input_error is not None:
+                raise input_error
             if exhausted:
                 b, e = exhausted[0]
                 raise ShardExecutionError(

@@ -43,7 +43,8 @@ serial numerics, which stay bit-identical to the fault-free run.  A
 dead worker process (``BrokenProcessPool``) rebuilds the pool and
 follows the same retry/degrade path as a thread fault.  Repeated
 launch failures mark the pool unhealthy and route every subsequent
-launch serially until :meth:`ExecutionEngine.reset_health`.  Every
+launch serially until :meth:`ExecutionEngine.reset_health`.  A caller's
+bad edge index is no fault: its ``IndexError`` is raised at once.  Every
 recovery emits ``resilience.retry`` / ``resilience.degraded`` counters
 and obs events, so chaos runs are auditable from the trace.
 """
@@ -64,6 +65,7 @@ from repro.errors import ConfigError, ShardExecutionError
 from repro.exec import numerics
 from repro.exec.backends import create_backend, resolve_backend_name
 from repro.exec.backends.base import (  # noqa: F401 - re-exported for compat
+    INPUT_ERRORS,
     RETRY_BACKOFF_MAX_S,
     RETRY_BACKOFF_S,
     ShardLaunch,
@@ -113,8 +115,8 @@ class BufferPool:
     """Reusable pre-allocated float64 output buffers, keyed by shape.
 
     ``acquire`` hands ownership of a buffer to the caller; a caller that
-    is done with an engine-produced output (benchmark sweeps discard
-    them after reading the simulated time) gives it back with
+    is done with an engine-produced output (a numerics benchmark that
+    reads only the simulated time) gives it back with
     ``release`` so the next launch of that shape skips the allocation.
     Only buffers the pool itself created are ever re-pooled — arbitrary
     caller arrays are refused, since pooling an array someone else still
@@ -385,6 +387,9 @@ class ExecutionEngine:
         )
         try:
             self._run_blocks(plan, launch)
+        except INPUT_ERRORS:
+            self.pool.release(out)
+            raise
         except ShardExecutionError as e:
             self._degrade("sddmm", f"shard-failure: {e}")
             self.pool.release(out)

@@ -28,7 +28,12 @@ Each invocation is two independent halves:
 :class:`CostReport`/trace, skipping Stage-1 planning, scheduling, trace
 recording and ``estimate_cost`` entirely.  Cold and warm launches run
 the same numerics — ``compute`` once per launch, after the cache branch
-— so a kernel's cold and warm outputs are bit-identical.  The default
+— so a kernel's cold and warm outputs are bit-identical.  A *pricing*
+launch, ``kernel(A, *operands, numerics=False)``, is the same launch
+(validation, span, plan-cache key and fill) without ``compute``: it
+returns the cost with ``output=None``.  ``execute`` reads operand shapes
+only, so callers that want just the simulated time pass the zero-byte
+stand-ins of :func:`stand_in_operands`.  The default
 :meth:`compute` routes through the sharded execution engine
 (:mod:`repro.exec`) — serial at the default ``REPRO_EXEC_WORKERS=1``,
 executed as concurrent row blocks on multi-core hosts — so baselines
@@ -160,9 +165,9 @@ def _finish_kernel_span(sp, kind: str, result: "KernelResult") -> None:
 
 @dataclass
 class KernelResult:
-    """Numerical output plus simulated execution report."""
+    """Numerical output (``None`` if priced only) plus simulated execution report."""
 
-    output: np.ndarray
+    output: np.ndarray | None
     cost: CostReport
     trace: KernelTrace
     #: host-side preprocessing wall time (custom formats only)
@@ -173,12 +178,13 @@ class KernelResult:
         return self.cost.time_us
 
 
-def _launch(kernel, A: COOMatrix, operands: tuple, f: int, dev: DeviceSpec, sp) -> KernelResult:
+def _launch(kernel, A: COOMatrix, operands: tuple, f: int, dev: DeviceSpec, sp, numerics):
     """Plan-cache lookup, structural half on a miss, then the numerics.
 
     ``compute`` runs exactly once, after the cache branch, so a hit and
     a miss produce the same output; only the trace and its cost differ
-    in where they come from.
+    in where they come from.  A pricing launch skips it, and fills the
+    same cache entry a later full launch replays.
     """
     key, hit = _cache_lookup(kernel, A, f, dev)
     if hit is not None:
@@ -190,10 +196,18 @@ def _launch(kernel, A: COOMatrix, operands: tuple, f: int, dev: DeviceSpec, sp) 
         sp.set(cost_wall_ms=(time.perf_counter() - t0) * 1e3)
         if key is not None:
             _cache_store(key, cost, trace, prep)
-    result = KernelResult(kernel.compute(A, *operands), cost, trace, prep)
+    output = kernel.compute(A, *operands) if numerics else None
+    result = KernelResult(output, cost, trace, prep)
     sp.set(cached=hit is not None)
     _finish_kernel_span(sp, kernel.kind, result)
     return result
+
+
+def stand_in_operands(kind: str, A: COOMatrix, f: int) -> tuple:
+    """Read-only float64 zeros shaped as a ``kind`` launch's operands, zero bytes each."""
+    shapes = {"spmm": [(A.nnz,), (A.num_cols, f)], "sddmm": [(A.num_rows, f), (A.num_cols, f)],
+              "spmv": [(A.nnz,), (A.num_cols,)]}[kind]
+    return tuple(np.broadcast_to(np.float64(0.0), shape) for shape in shapes)
 
 
 def validate_spmm_inputs(A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> None:
@@ -250,6 +264,7 @@ class SpMMKernel(KernelCacheMixin, abc.ABC):
         X: np.ndarray,
         *,
         device: DeviceSpec | str | None = None,
+        numerics: bool = True,
     ) -> KernelResult:
         validate_spmm_inputs(A, edge_values, X)
         ensure_structure_validated(A)
@@ -262,10 +277,10 @@ class SpMMKernel(KernelCacheMixin, abc.ABC):
         ) as sp:
             if obs.tracing_enabled():
                 sp.set(**launch_span_attrs(self, A, dev))
-            return _launch(self, A, (edge_values, X), X.shape[1], dev, sp)
+            return _launch(self, A, (edge_values, X), X.shape[1], dev, sp, numerics)
 
     def compute(self, A: COOMatrix, edge_values: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work), run by every launch."""
+        """Pure numerics (no trace/cost work), run by every full launch."""
         return get_engine().spmm(A, edge_values, X)
 
     @abc.abstractmethod
@@ -297,6 +312,7 @@ class SDDMMKernel(KernelCacheMixin, abc.ABC):
         Y: np.ndarray,
         *,
         device: DeviceSpec | str | None = None,
+        numerics: bool = True,
     ) -> KernelResult:
         validate_sddmm_inputs(A, X, Y)
         ensure_structure_validated(A)
@@ -309,10 +325,10 @@ class SDDMMKernel(KernelCacheMixin, abc.ABC):
         ) as sp:
             if obs.tracing_enabled():
                 sp.set(**launch_span_attrs(self, A, dev))
-            return _launch(self, A, (X, Y), X.shape[1], dev, sp)
+            return _launch(self, A, (X, Y), X.shape[1], dev, sp, numerics)
 
     def compute(self, A: COOMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work), run by every launch."""
+        """Pure numerics (no trace/cost work), run by every full launch."""
         return get_engine().sddmm(A, X, Y)
 
     @abc.abstractmethod
@@ -340,6 +356,7 @@ class SpMVKernel(KernelCacheMixin, abc.ABC):
         x: np.ndarray,
         *,
         device: DeviceSpec | str | None = None,
+        numerics: bool = True,
     ) -> KernelResult:
         validate_spmv_inputs(A, edge_values, x)
         ensure_structure_validated(A)
@@ -352,10 +369,10 @@ class SpMVKernel(KernelCacheMixin, abc.ABC):
         ) as sp:
             if obs.tracing_enabled():
                 sp.set(**launch_span_attrs(self, A, dev))
-            return _launch(self, A, (edge_values, x), 1, dev, sp)
+            return _launch(self, A, (edge_values, x), 1, dev, sp, numerics)
 
     def compute(self, A: COOMatrix, edge_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Pure numerics (no trace/cost work), run by every launch."""
+        """Pure numerics (no trace/cost work), run by every full launch."""
         return get_engine().spmv(A, edge_values, x)
 
     @abc.abstractmethod

@@ -183,19 +183,25 @@ def unfused_gat_pipeline_time_us(
 
     u_add_v (an F=1 SDDMM) + two element-wise passes + a segment-sum
     SpMV for the softmax + the alpha-weighted SpMM — the sequence the
-    GAT model runs today.  Used by the fusion ablation benchmark.
+    GAT model runs today.  Used by the fusion ablation benchmark.  Each
+    launch is priced without numerics, so only ``X``'s feature length
+    is read; ``el``/``er`` keep the fused layer's call shape.
     """
     from repro.gpusim.dense import elementwise_cost
+    from repro.kernels.base import stand_in_operands
     from repro.kernels.gnnone.sddmm import GnnOneSDDMM
     from repro.kernels.gnnone.spmm import GnnOneSpMM
     from repro.kernels.gnnone.spmv import GnnOneSpMV
 
     dev = get_device(device)
     coo = A if A.is_csr_ordered() else A.sort_csr_order()
-    alpha, _ = fused_gat_attention_numerics(coo, el, er, X)
-    total = 0.0
-    total += GnnOneSDDMM(config)(coo, el.reshape(-1, 1), er.reshape(-1, 1), device=dev).time_us
+
+    def price(kernel, feature_length: int) -> float:
+        operands = stand_in_operands(kernel.kind, coo, feature_length)
+        return kernel(coo, *operands, device=dev, numerics=False).time_us
+
+    total = price(GnnOneSDDMM(config), 1)
     total += 2 * elementwise_cost(dev, coo.nnz, reads=2, writes=1).time_us
-    total += GnnOneSpMV()(coo, np.abs(alpha), np.ones(coo.num_cols), device=dev).time_us
-    total += GnnOneSpMM(config)(coo, alpha, X, device=dev).time_us
+    total += price(GnnOneSpMV(), 1)
+    total += price(GnnOneSpMM(config), X.shape[1])
     return total

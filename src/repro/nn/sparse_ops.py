@@ -7,7 +7,8 @@ structure lives:
   SpMM on the transposed graph (dX) and one SDDMM (d edge-values) —
   every invocation charges its simulated time to the active SimClock.
 * ``u_add_v`` (the GAT attention-score gather) is an SDDMM *variant*;
-  ``edge_softmax`` is priced as its segment-reduction passes.
+  ``edge_softmax`` is priced as its segment-reduction passes.  Both
+  compute in NumPy and only *price* their kernels (``numerics=False``).
 
 Numerics are plain vectorized NumPy, bit-identical across backends —
 which is the Fig-5 claim (GNNOne trains to the same accuracy as DGL).
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.base import stand_in_operands
 from repro.kernels.gnnone import GnnOneSDDMM, GnnOneSpMM
 from repro.kernels.registry import sddmm_kernel, spmm_kernel, spmv_kernel
 from repro.nn.backend import TrainingBackend
@@ -43,25 +45,27 @@ def _run_spmm(backend: TrainingBackend, coo, edge_values, X, tag: str) -> np.nda
     return result.output
 
 
+def _sddmm_kernel(backend: TrainingBackend):
+    if backend.sddmm == "gnnone" and backend.gnnone_sddmm_config is not None:
+        return GnnOneSDDMM(backend.gnnone_sddmm_config)
+    return sddmm_kernel(backend.sddmm)
+
+
 def _run_sddmm(backend: TrainingBackend, coo, X, Y, tag: str) -> np.ndarray:
     clock = current_clock()
-    if backend.sddmm == "gnnone" and backend.gnnone_sddmm_config is not None:
-        kernel = GnnOneSDDMM(backend.gnnone_sddmm_config)
-    else:
-        kernel = sddmm_kernel(backend.sddmm)
-    result = kernel(coo, X, Y, device=clock.device if clock else None)
+    result = _sddmm_kernel(backend)(coo, X, Y, device=clock.device if clock else None)
     charge(f"sddmm:{tag}", result.time_us)
     return result.output
 
 
-def _charge_spmv(backend: TrainingBackend, coo, values, tag: str) -> np.ndarray:
+def _charge_launch(kernel, coo, feature_length: int, tag: str) -> None:
+    """Charge a launch by pricing it: the op computes its numerics in numpy."""
     clock = current_clock()
-    kernel = spmv_kernel(backend.spmv)
     result = kernel(
-        coo, values, np.ones(coo.num_cols), device=clock.device if clock else None
+        coo, *stand_in_operands(kernel.kind, coo, feature_length),
+        device=clock.device if clock else None, numerics=False,
     )
-    charge(f"spmv:{tag}", result.time_us)
-    return result.output
+    charge(f"{kernel.kind}:{tag}", result.time_us)
 
 
 def spmm(graph: GraphData, edge_values: Tensor, X: Tensor, backend: TrainingBackend) -> Tensor:
@@ -104,9 +108,7 @@ def u_add_v(graph: GraphData, el: Tensor, er: Tensor, backend: TrainingBackend) 
     rows, cols = graph.coo.rows, graph.coo.cols
     out = Tensor(el.data[rows] + er.data[cols], parents=(el, er))
     # Same data-load pattern as a feature-length-1 SDDMM: price it so.
-    _run_sddmm(
-        backend, graph.coo, el.data.reshape(-1, 1), er.data.reshape(-1, 1), "u_add_v"
-    )
+    _charge_launch(_sddmm_kernel(backend), graph.coo, 1, "u_add_v")
 
     def backward(g: np.ndarray) -> None:
         charge_elementwise(graph.num_edges, reads=1, writes=1, name="u_add_v_bwd")
@@ -142,7 +144,7 @@ def edge_softmax(graph: GraphData, scores: Tensor, backend: TrainingBackend) -> 
         alpha_data = ex / full_sum[rows]
     out = Tensor(alpha_data, parents=(scores,))
     # Price: two segment reductions (max, sum) + two element-wise passes.
-    _charge_spmv(backend, graph.coo, np.abs(s) if s.size else s, "edge_softmax_reduce")
+    _charge_launch(spmv_kernel(backend.spmv), graph.coo, 1, "edge_softmax_reduce")
     charge_elementwise(graph.num_edges, reads=2, writes=1, count=2, name="edge_softmax")
 
     def backward(g: np.ndarray) -> None:
@@ -150,7 +152,7 @@ def edge_softmax(graph: GraphData, scores: Tensor, backend: TrainingBackend) -> 
         if not scores.requires_grad:
             return
         weighted = alpha_data * g
-        _charge_spmv(backend, graph.coo, weighted, "edge_softmax_bwd")
+        _charge_launch(spmv_kernel(backend.spmv), graph.coo, 1, "edge_softmax_bwd")
         charge_elementwise(graph.num_edges, reads=2, writes=1, name="edge_softmax_bwd")
         if g.size == 0:
             scores.accumulate_grad(g)

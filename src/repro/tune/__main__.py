@@ -128,13 +128,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.exhaustive:
         rep = measure_regret(
             A, args.f, args.kind, model,
-            device=args.device, top_k=args.top_k, seed=args.seed,
+            device=args.device, top_k=args.top_k,
         )
         _emit({"dataset": args.dataset, **rep.to_dict()})
         return 0
     res = learned_autotune(
         A, args.f, args.kind, model=model,
-        device=args.device, top_k=args.top_k, seed=args.seed,
+        device=args.device, top_k=args.top_k,
     )
     _emit(
         {
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=("spmm", "sddmm"), default="spmm")
     s.add_argument("--f", type=int, default=32)
     s.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--device", default=None)
     s.add_argument("--exhaustive", action="store_true",
                    help="also run exhaustive search and report regret")

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.gpusim.device import DeviceSpec, get_device
+from repro.kernels.base import stand_in_operands
 from repro.kernels.gnnone import (
     CONSECUTIVE,
     ROUND_ROBIN,
@@ -181,27 +182,14 @@ class _Evaluator:
         feature_length: int,
         kind: str,
         base_device: DeviceSpec,
-        seed: int,
     ) -> None:
         self.A = A
         self.f = int(feature_length)
         self.kind = kind
         self.base = base_device
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((A.num_cols, self.f))
-        if kind == "spmm":
-            vals = rng.standard_normal(A.nnz)
-
-            def run(cfg: GnnOneConfig, dev: DeviceSpec) -> float:
-                return GnnOneSpMM(cfg)(A, vals, X, device=dev).time_us
-
-        else:
-            Xr = rng.standard_normal((A.num_rows, self.f))
-
-            def run(cfg: GnnOneConfig, dev: DeviceSpec) -> float:
-                return GnnOneSDDMM(cfg)(A, Xr, X, device=dev).time_us
-
-        self._run = run
+        self._kernel_cls = GnnOneSpMM if kind == "spmm" else GnnOneSDDMM
+        # Pricing launches: simulated time never reads operand values.
+        self._operands = stand_in_operands(kind, A, self.f)
         self._memo: dict[DesignPoint, float] = {}
 
     @property
@@ -212,7 +200,10 @@ class _Evaluator:
         """(simulated microseconds, was this a fresh simulation)."""
         if point in self._memo:
             return self._memo[point], False
-        t = self._run(point.kernel_config(), point.device(self.base))
+        kernel = self._kernel_cls(point.kernel_config())
+        t = kernel(
+            self.A, *self._operands, device=point.device(self.base), numerics=False
+        ).time_us
         self._memo[point] = t
         return t, True
 
@@ -243,7 +234,7 @@ def explore(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(A, feature_length, kind, base, seed)
+    ev = _Evaluator(A, feature_length, kind, base)
     trajectory: list[tuple[int, DesignPoint, float, float]] = []
     best: tuple[float, DesignPoint] | None = None
 

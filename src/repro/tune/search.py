@@ -121,13 +121,11 @@ def learned_autotune(
     schedules: tuple[str, ...] = (CONSECUTIVE, ROUND_ROBIN),
     device: DeviceSpec | str | None = None,
     top_k: int = DEFAULT_TOP_K,
-    seed: int = 0,
-    operands: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SearchResult:
     """Pick a config by ranking all candidates, simulating only ``top_k``.
 
     The exact simulations run through :func:`repro.core.autotune.autotune`
-    restricted to the shortlist, so they share the operand draw, the
+    restricted to the shortlist, so they share the pricing launches, the
     structural plan cache and the tune memo with every other caller.
     """
     dev = get_device(device)
@@ -143,7 +141,7 @@ def learned_autotune(
     ) as sp:
         # Simulate the shortlist exactly.  Each (cache, schedule) runs
         # through the plain exhaustive tuner with a single-candidate
-        # space so the trial-time machinery (shared operand draw, plan
+        # space so the trial-time machinery (pricing launches, plan
         # cache, memoization) stays in one place.  strategy="exact" is
         # pinned — inheriting REPRO_TUNE=learned here would recurse.
         trials: dict[tuple[int, str], float] = {}
@@ -151,8 +149,7 @@ def learned_autotune(
             r = autotune(
                 A, feature_length, kind,
                 cache_sizes=(cache,), schedules=(sched,),
-                device=dev, seed=seed, operands=operands,
-                strategy="exact",
+                device=dev, strategy="exact",
             )
             trials[(cache, sched)] = r.time_us
         best_key = min(trials, key=lambda key: trials[key])
@@ -223,7 +220,6 @@ def measure_regret(
     schedules: tuple[str, ...] = (CONSECUTIVE, ROUND_ROBIN),
     device: DeviceSpec | str | None = None,
     top_k: int = DEFAULT_TOP_K,
-    seed: int = 0,
 ) -> RegretReport:
     """Run pruned and exhaustive search side by side; report the regret.
 
@@ -235,11 +231,11 @@ def measure_regret(
     pruned = learned_autotune(
         A, feature_length, kind, model=model,
         cache_sizes=cache_sizes, schedules=schedules,
-        device=device, top_k=top_k, seed=seed,
+        device=device, top_k=top_k,
     )
     exhaustive = autotune(
         A, feature_length, kind,
-        cache_sizes=cache_sizes, schedules=schedules, device=device, seed=seed,
+        cache_sizes=cache_sizes, schedules=schedules, device=device,
         strategy="exact",
     )
     best_key = min(exhaustive.trials, key=lambda key: exhaustive.trials[key])

@@ -2,14 +2,19 @@
 
 import contextlib
 import os
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import obs
 from repro.core import get_plan_cache, set_plan_cache_enabled
 from repro.errors import ConfigError
@@ -301,12 +306,23 @@ class TestSddmmOrder:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_bad_index_raises_through_engine(self, backend):
-        """Sharded launches fail the bad shard, degrade, and still raise."""
-        with exec_workers(3, min_parallel_nnz=0, backend=backend):
+        """A bad edge index is the caller's error, not a flaky worker: the
+        sharded launch raises on the first attempt, without a retry, a
+        degrade to serial, or a mark against pool health."""
+        obs.reset_metrics()
+        with exec_workers(3, min_parallel_nnz=0, backend=backend) as eng:
             for case in BAD_EDGE_CASES:
                 coo, X, Y = bad_edge_operands(case)
-                with pytest.raises(IndexError):
-                    get_engine().sddmm(coo, X, Y)
+                with obs.capture() as records, pytest.raises(IndexError):
+                    eng.sddmm(coo, X, Y)
+                assert any(r["name"] == "exec.parallel" for r in records)
+                attempts = [r["attrs"]["attempt"] for r in records
+                            if r["name"] == "exec.shard"]
+                assert attempts and max(attempts) == 0
+            assert eng.healthy and eng._consecutive_failures == 0
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters.get("resilience.retry", 0) == 0
+        assert counters.get("resilience.degraded", 0) == 0
 
     @pytest.mark.parametrize(
         "start,end", [(0, 157), (3, 20), (6, 8), (7, 7), (13, 150), (140, 157)]
@@ -805,6 +821,15 @@ class TestBackendParity:
         assert parallel.test_acc == serial.test_acc
 
 
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live (not zombie) process?"""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestProcessBackend:
     """Process-specific behavior: residency, recovery, chaos, map pin."""
 
@@ -857,6 +882,31 @@ class TestProcessBackend:
         shards = [r for r in records if r["name"] == "exec.shard"]
         assert shards
         assert all(s["attrs"]["worker"].startswith("pid:") for s in shards)
+
+    def test_workers_exit_with_parent(self):
+        """A parent that dies without shutting its pool down (here
+        ``os._exit``) takes the pool's workers with it."""
+        script = (
+            "import os, numpy as np\n"
+            "from repro.exec import ExecutionEngine\n"
+            "from repro.sparse import generators\n"
+            "A = generators.rmat(8, 8, seed=1)\n"
+            "eng = ExecutionEngine(2, min_parallel_nnz=0, backend='process')\n"
+            "eng.spmm(A, np.ones(A.nnz), np.ones((A.num_cols, 2)))\n"
+            "print(*eng.backend._executor._processes, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        pids = [int(p) for p in done.stdout.split()]
+        assert pids
+        deadline = time.monotonic() + 30
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [p for p in pids if _running(p)]
 
     def test_worker_death_recovers(self, medium_graph):
         """Kill a live worker; the next launch rebuilds the pool."""
@@ -934,6 +984,9 @@ class TestForkSafety:
                     ok = child_eng is not eng and np.array_equal(
                         child_eng.spmm(medium_graph, vals, X), serial
                     )
+                    # os._exit skips atexit: close the child's own pool
+                    # (a process pool under REPRO_EXEC_BACKEND=process).
+                    child_eng.shutdown()
                     os._exit(0 if ok else 1)
                 except BaseException:
                     os._exit(2)

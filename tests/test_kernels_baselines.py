@@ -7,6 +7,8 @@ import pytest
 
 from repro.core import clear_plan_cache
 from repro.errors import KernelLaunchError
+from repro.exec import ExecutionEngine
+from repro.kernels import base as kbase
 from repro.kernels import (
     reference_sddmm,
     reference_spmm,
@@ -18,6 +20,7 @@ from repro.kernels import (
     spmv_kernel,
     spmv_kernel_names,
 )
+from repro.kernels.base import stand_in_operands
 from repro.kernels.baselines import (
     DGLSpMM,
     GeSpMM,
@@ -103,6 +106,84 @@ class TestColdWarmIdentity:
         out = self._cold_then_warm(spmv_kernel(name), small_graph, vals, x)
         assert reference_calls == []
         np.testing.assert_allclose(out, reference_spmv(small_graph, vals, x))
+
+
+LOOKUP = {"spmm": spmm_kernel, "sddmm": sddmm_kernel, "spmv": spmv_kernel}
+LAUNCHES = [
+    (kind, name)
+    for kind, names in (("spmm", spmm_kernel_names()), ("sddmm", sddmm_kernel_names()),
+                        ("spmv", spmv_kernel_names()))
+    for name in names
+]
+
+
+class TestPricingLaunch:
+    """``numerics=False``: the structural half alone, on shape-only operands.
+
+    This is the proof that ``execute`` reads operand shapes only: a
+    pricing launch on zero-byte stand-ins prices every kernel exactly as
+    a full launch on real values does, under the same plan-cache key.
+    """
+
+    F = 16
+
+    def _operands(self, kind, A, rng):
+        vals, X, Xr, x = make_operands(A, self.F, rng)
+        return {"spmm": (vals, X), "sddmm": (Xr, X), "spmv": (vals, x)}[kind]
+
+    @pytest.mark.parametrize("kind,name", LAUNCHES)
+    def test_same_cost_and_key_as_full_launch(self, small_graph, rng, monkeypatch,
+                                              kind, name):
+        keys = []
+        lookup = kbase._cache_lookup
+
+        def spy(*args):
+            key, hit = lookup(*args)
+            keys.append(key)
+            return key, hit
+
+        monkeypatch.setattr(kbase, "_cache_lookup", spy)
+        kernel = LOOKUP[kind](name)
+        clear_plan_cache()
+        full = kernel(small_graph, *self._operands(kind, small_graph, rng))
+        clear_plan_cache()
+        stand_ins = stand_in_operands(kind, small_graph, self.F)
+        assert all(a.strides == (0,) * a.ndim for a in stand_ins)  # zero bytes
+        priced = kernel(small_graph, *stand_ins, numerics=False)
+        assert priced.output is None
+        assert priced.cost == full.cost
+        assert keys[0] is not None and keys[0] == keys[1]
+
+    @pytest.mark.parametrize("kind,name", LAUNCHES)
+    def test_runs_no_numerics(self, small_graph, monkeypatch, kind, name):
+        calls = []
+        for method in ("spmm", "sddmm", "spmv", "gat_alpha"):
+            real = getattr(ExecutionEngine, method)
+
+            def counted(self, *args, _real=real, _name=method, **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(ExecutionEngine, method, counted)
+        kernel = LOOKUP[kind](name)
+        stand_ins = stand_in_operands(kind, small_graph, self.F)
+        clear_plan_cache()
+        kernel(small_graph, *stand_ins, numerics=False)  # cold
+        kernel(small_graph, *stand_ins, numerics=False)  # warm
+        assert calls == []
+
+    @pytest.mark.parametrize("kind,name", LAUNCHES)
+    def test_priced_entry_serves_full_launch(self, small_graph, rng, kind, name):
+        kernel = LOOKUP[kind](name)
+        operands = self._operands(kind, small_graph, rng)
+        clear_plan_cache()
+        priced = kernel(small_graph, *stand_in_operands(kind, small_graph, self.F),
+                        numerics=False)
+        full = kernel(small_graph, *operands)
+        assert full.cost is priced.cost  # replayed from the priced launch
+        out = np.array(full.output, copy=True)
+        clear_plan_cache()
+        np.testing.assert_array_equal(out, kernel(small_graph, *operands).output)
 
 
 class TestRegistry:
